@@ -6,6 +6,11 @@
 # slower relatively AND more than TDE_BENCH_MIN_MS slower absolutely — the
 # absolute floor keeps sub-millisecond timer noise from failing CI.
 #
+# Decode gate (check mode): bench_tpch's per-encoding x type decode section
+# must show every dictionary.* and uncompressed.* cell within 2x the ns/row
+# of frame-of-reference.integer in the same run. A within-run ratio, so it
+# holds on any machine and needs no baseline.
+#
 # Usage: ci/check_bench.sh <build-dir> [--rebaseline]
 #
 # Knobs (all optional):
@@ -74,6 +79,45 @@ fi
   exit 1
 }
 
+# SF 0.02 gives every lineitem column two sealed segments.
+(cd "$WORK" && TDE_SF=0.02 "$BUILD/bench/bench_tpch" --json \
+    > tpchbench.out) || { cat "$WORK/tpchbench.out"; exit 1; }
+[[ -f "$WORK/BENCH_tpch.json" ]] || {
+  echo "bench_tpch wrote no BENCH_tpch.json"; exit 1; }
+decode_status=0
+python3 - "$WORK/BENCH_tpch.json" <<'EOF' || decode_status=$?
+import json, sys
+doc = json.load(open(sys.argv[1]))
+cells = {r["decode"]: r for r in doc["results"] if "decode" in r}
+ref = cells.get("frame-of-reference.integer")
+if ref is None:
+    sys.exit("decode gate: no frame-of-reference.integer cell to compare "
+             "against")
+limit = 2.0
+gated = [n for n in cells if n.startswith(("dictionary.", "uncompressed."))]
+if not gated:
+    sys.exit("decode gate: no dictionary or uncompressed cell in this run")
+failed = []
+print(f"{'decode cell':<30}{'ns/row':>9}{'rows':>10}{'vs FoR int':>12}")
+for name in sorted(cells):
+    r = cells[name]
+    ratio = r["ns_per_row"] / ref["ns_per_row"]
+    mark = "" if name in gated else "  (not gated)"
+    if name in gated and ratio > limit:
+        failed.append(f"{name}: {r['ns_per_row']:.2f} ns/row = {ratio:.1f}x "
+                      f"frame-of-reference.integer "
+                      f"({ref['ns_per_row']:.2f} ns/row), limit {limit:.0f}x")
+        mark = "  TOO SLOW"
+    print(f"{name:<30}{r['ns_per_row']:>9.2f}{r['rows']:>10}"
+          f"{ratio:>11.2f}x{mark}")
+if failed:
+    print("\ndecode gate FAILED:")
+    for f in failed:
+        print(f"  {f}")
+    sys.exit(1)
+print(f"\ndecode gate passed (limit {limit:.0f}x frame-of-reference.integer)\n")
+EOF
+
 python3 - "$FRESH" "$BASELINE" "$ROWS" "$SORT_ROWS" <<'EOF'
 import json, os, sys
 fresh = json.load(open(sys.argv[1]))
@@ -125,3 +169,4 @@ if failed:
 print("\nperf-regression gate passed "
       f"(tolerance {tol:.0%}, floor {floor_ms:.0f}ms)")
 EOF
+exit "$decode_status"

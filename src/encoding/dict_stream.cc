@@ -81,32 +81,25 @@ std::unique_ptr<DictStream> DictStream::Make(uint8_t width, bool sign_extend,
 }
 
 std::unique_ptr<DictStream> DictStream::FromBuffer(std::vector<uint8_t> buf) {
+  // No value->index map: an opened stream is finalized, so nothing looks a
+  // value up, and decoding reads the stored entries directly.
   auto s = std::unique_ptr<DictStream>(new DictStream());
   *s->mutable_buffer() = std::move(buf);
   s->finalized_ = s->header().logical_size();
   s->finalized_stream_ = true;
-  s->map_.Init(256);
-  s->RebuildMap();
   return s;
 }
 
-void DictStream::RebuildMap() {
-  const uint64_t n = entry_count();
-  for (uint64_t i = 0; i < n; ++i) {
-    map_.Insert(Entry(i), static_cast<uint32_t>(i));
-  }
-}
-
-Lane DictStream::Entry(uint64_t idx) const {
-  const uint8_t w = width();
-  return LoadLane(buf_.data() + kEntriesOffset + idx * w, w,
-                  SignExtendOf(header()));
+Status DictStream::Finalize() {
+  TDE_RETURN_NOT_OK(BlockedStream::Finalize());
+  map_ = Cuckoo();
+  return Status::OK();
 }
 
 std::vector<Lane> DictStream::Entries() const {
-  const uint64_t n = entry_count();
-  std::vector<Lane> out(n);
-  for (uint64_t i = 0; i < n; ++i) out[i] = Entry(i);
+  std::vector<Lane> out(entry_count());
+  LoadValues(buf_.data() + kEntriesOffset, width(), SignExtendOf(header()),
+             out.size(), [](size_t i) { return i; }, out.data());
   return out;
 }
 
@@ -160,9 +153,8 @@ void DictStream::PackBlock(const Lane* values) {
 void DictStream::DecodeBlock(uint64_t block_idx, Lane* out) const {
   uint64_t packed[kBlockSize];
   UnpackBits(BlockData(block_idx), kBlockSize, bits(), packed);
-  for (uint32_t i = 0; i < kBlockSize; ++i) {
-    out[i] = Entry(packed[i]);
-  }
+  LoadValues(buf_.data() + kEntriesOffset, width(), SignExtendOf(header()),
+             kBlockSize, [&packed](size_t i) { return packed[i]; }, out);
 }
 
 bool DictStream::GetCodes(uint64_t row, size_t count, Lane* out) const {

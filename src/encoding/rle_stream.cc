@@ -134,31 +134,33 @@ Status RleStream::Get(uint64_t row, size_t count, Lane* out) const {
   }
   const uint64_t stored_pairs =
       (buf_.size() - header().data_offset()) / (count_width() + value_width());
+  Cursor c;
+  {
+    std::lock_guard<std::mutex> lock(cursor_mu_);
+    c = cursor_;
+  }
   // Seeking backwards requires a sequential scan from the start of the
   // data stream (Sect. 4.3) — that asymmetry is why the planner keeps RLE
   // off hash-join inner sides.
-  if (row < cursor_row_) {
-    cursor_pair_ = 0;
-    cursor_row_ = 0;
-  }
-  uint64_t pair = cursor_pair_;
-  uint64_t pair_start = cursor_row_;
+  if (row < c.row) c = Cursor();
   size_t produced = 0;
   while (produced < count) {
     uint64_t run_len;
     Lane value;
-    if (pair < stored_pairs) {
-      run_len = RunCount(pair);
-      value = RunValue(pair);
-    } else {
+    if (c.pair < stored_pairs) {
+      run_len = RunCount(c.pair);
+      value = RunValue(c.pair);
+    } else if (c.pair == stored_pairs && in_run_) {
       run_len = cur_count_;
       value = cur_value_;
+    } else {
+      return Status::Internal("run-length walk passed the last run");
     }
-    const uint64_t run_end = pair_start + run_len;
+    const uint64_t run_end = c.row + run_len;
     const uint64_t abs = row + produced;
     if (abs >= run_end) {
-      pair_start = run_end;
-      ++pair;
+      c.row = run_end;
+      ++c.pair;
       continue;
     }
     const size_t take = static_cast<size_t>(
@@ -166,8 +168,8 @@ Status RleStream::Get(uint64_t row, size_t count, Lane* out) const {
     for (size_t i = 0; i < take; ++i) out[produced + i] = value;
     produced += take;
   }
-  cursor_pair_ = pair;
-  cursor_row_ = pair_start;
+  std::lock_guard<std::mutex> lock(cursor_mu_);
+  cursor_ = c;
   return Status::OK();
 }
 

@@ -1,6 +1,8 @@
 #ifndef TDE_ENCODING_STREAMS_INTERNAL_H_
 #define TDE_ENCODING_STREAMS_INTERNAL_H_
 
+#include <cstring>
+#include <mutex>
 #include <vector>
 
 #include "src/encoding/stream.h"
@@ -36,6 +38,37 @@ inline void InitHeader(std::vector<uint8_t>* buf, EncodingType type,
 inline Lane LoadLane(const uint8_t* p, uint8_t width, bool sign_extend) {
   return sign_extend ? LoadSigned(p, width)
                      : static_cast<Lane>(LoadUnsigned(p, width));
+}
+
+/// Width-specialised loader for stored fixed-width values (dictionary
+/// entries, uncompressed blocks): out[i] = the `width`-byte little-endian
+/// value at index `at(i)` of `base`, extended exactly as LoadLane does.
+/// The width/sign dispatch happens once per call, so the per-row loop is a
+/// fixed-size load and a cast. Callers pass the identity for a run of
+/// values, or unpacked dictionary codes for a gather; every index must lie
+/// inside the caller's validated value space.
+template <typename At>
+void LoadValues(const uint8_t* base, uint8_t width, bool sign_extend,
+                size_t n, At at, Lane* out) {
+  auto load = [&](auto tag) {
+    using T = decltype(tag);
+    for (size_t i = 0; i < n; ++i) {
+      T v;
+      std::memcpy(&v, base + static_cast<size_t>(at(i)) * sizeof(T),
+                  sizeof(T));
+      out[i] = static_cast<Lane>(v);  // sign- or zero-extends by T
+    }
+  };
+  switch (width) {
+    case 1:
+      return sign_extend ? load(int8_t{}) : load(uint8_t{});
+    case 2:
+      return sign_extend ? load(int16_t{}) : load(uint16_t{});
+    case 4:
+      return sign_extend ? load(int32_t{}) : load(uint32_t{});
+    default:  // 8: stream headers only ever hold 1, 2, 4 or 8
+      return load(uint64_t{});
+  }
 }
 
 /// True if `v` can be stored in `width` bytes under the given signedness.
@@ -103,8 +136,12 @@ class DeltaStream : public BlockedStream {
 
 /// Dictionary (Sect. 3.1.3): header holds the entry count followed by space
 /// for 2^bits entries of `width` bytes, so the dictionary can grow in place
-/// up to the limit; packed values are indexes. The value->index map is a
-/// cuckoo hash (kept small because entries are capped at 2^15).
+/// up to the limit; packed values are indexes. Decoding gathers entries
+/// straight from that entry space: a code is < 2^bits, so it always indexes
+/// bytes ValidateStreamBuffer has bounded. The value->index map is a cuckoo
+/// hash (kept small because entries are capped at 2^15) that exists only
+/// while the stream is built: Finalize releases it and an opened stream,
+/// which can never be appended to, never has one.
 class DictStream : public BlockedStream {
  public:
   static constexpr uint64_t kEntryCountOffset = 24;
@@ -115,8 +152,6 @@ class DictStream : public BlockedStream {
   static std::unique_ptr<DictStream> FromBuffer(std::vector<uint8_t> buf);
 
   uint64_t entry_count() const { return header().GetU64(kEntryCountOffset); }
-  /// Dictionary entry `idx` as a lane.
-  Lane Entry(uint64_t idx) const;
   /// All entries, in index order.
   std::vector<Lane> Entries() const;
 
@@ -124,6 +159,9 @@ class DictStream : public BlockedStream {
   /// this skips the per-row entry decode of Get().
   bool GetCodes(uint64_t row, size_t count, Lane* out) const override;
   std::vector<Lane> CodeEntries() const override { return Entries(); }
+
+  /// Packs the tail, then drops the value->index map: no append can follow.
+  Status Finalize() override;
 
  protected:
   size_t BlockBytes() const override;
@@ -145,7 +183,6 @@ class DictStream : public BlockedStream {
     void Grow();
   };
 
-  void RebuildMap();
   uint32_t Lookup(Lane v) const { return map_.Find(v); }
 
   Cuckoo map_;
@@ -208,10 +245,16 @@ class RleStream : public EncodedStream {
   Lane cur_value_ = 0;
   uint64_t cur_count_ = 0;
   bool finalized_stream_ = false;
-  // Sequential-access cursor (Sect. 4.3): remembers the last decoded
-  // position; a backwards seek resets it to the start.
-  mutable uint64_t cursor_pair_ = 0;
-  mutable uint64_t cursor_row_ = 0;
+  // Sequential-access cursor (Sect. 4.3): the last decoded pair and its
+  // first row; a backwards seek resets it to the start. Concurrent queries
+  // share the stream, so Get copies and stores the cursor as one snapshot
+  // under cursor_mu_ and walks a private copy.
+  struct Cursor {
+    uint64_t pair = 0;
+    uint64_t row = 0;
+  };
+  mutable std::mutex cursor_mu_;
+  mutable Cursor cursor_;
 };
 
 }  // namespace internal

@@ -1,4 +1,3 @@
-#include <cstring>
 #include <memory>
 
 #include "src/encoding/streams_internal.h"
@@ -53,12 +52,8 @@ void UncompressedStream::PackBlock(const Lane* values) {
 }
 
 void UncompressedStream::DecodeBlock(uint64_t block_idx, Lane* out) const {
-  const uint8_t w = width();
-  const bool se = SignExtendOf(header());
-  const uint8_t* in = BlockData(block_idx);
-  for (uint32_t i = 0; i < kBlockSize; ++i) {
-    out[i] = LoadLane(in + static_cast<size_t>(i) * w, w, se);
-  }
+  LoadValues(BlockData(block_idx), width(), SignExtendOf(header()),
+             kBlockSize, [](size_t i) { return i; }, out);
 }
 
 }  // namespace internal

@@ -1220,8 +1220,12 @@ std::string QueryResult::ToCsv() const {
   return out;
 }
 
+// StrategicOptimize rewrites nodes in place, so both entry points optimize
+// a private deep copy and leave the caller's plan as it was (as
+// Engine::Execute does).
 Result<std::string> ExplainPlan(const Plan& plan) {
-  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized, StrategicOptimize(plan.root()));
+  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
+                       StrategicOptimize(ClonePlan(plan.root())));
   TDE_ASSIGN_OR_RETURN(BuiltPlan built, BuildExecutable(optimized));
   std::string out = PlanToString(optimized);
   if (!built.notes.empty()) {
@@ -1234,7 +1238,8 @@ Result<std::string> ExplainPlan(const Plan& plan) {
 }
 
 Result<QueryResult> ExecutePlan(const Plan& plan) {
-  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized, StrategicOptimize(plan.root()));
+  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
+                       StrategicOptimize(ClonePlan(plan.root())));
   return ExecutePlanNode(optimized);
 }
 

@@ -3,7 +3,8 @@
 // joins, exchange-wrapped plans) at ONE engine sharing ONE task-scheduler
 // pool, with every answer checked against the single-threaded result.
 // A second leg interleaves AppendRows with readers and asserts that no
-// reader ever observes a torn batch.
+// reader ever observes a torn batch; a third has every thread decode one
+// shared run-length stream, whose sequential cursor they all move.
 //
 // Tier-1 runs a bounded number of iterations; set TDE_STRESS_ITERS (and
 // optionally TDE_STRESS_THREADS) for extended soak runs, e.g.
@@ -133,6 +134,54 @@ TEST(ConcurrentQueries, ExchangeWrappedPlansShareThePool) {
           if (!r.ok()) return r.status();
           if (r.value().ToCsv() != want) {
             return Status::Internal("exchange-wrapped sum drifted");
+          }
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(ConcurrentQueries, ReadersShareOneRunLengthStream) {
+  // r runs 600 rows per value, so it run-length encodes; the filters are on
+  // v, so every query decodes r through RleStream::Get block by block and
+  // all threads move that one stream's sequential cursor.
+  Engine engine;
+  std::string csv = "r,v\n";
+  for (int i = 0; i < 60000; ++i) {
+    csv += std::to_string(i / 600) + "," + std::to_string(i % 1000) + "\n";
+  }
+  auto runs = engine.ImportTextBuffer(std::move(csv), "runs");
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  const EncodedStream* r_stream =
+      runs.value()->ColumnByName("r").value()->data();
+  ASSERT_NE(r_stream, nullptr);
+  ASSERT_EQ(r_stream->type(), EncodingType::kRunLength);
+
+  const std::vector<std::string> queries = {
+      "SELECT SUM(r) AS s FROM runs WHERE v < 500",
+      "SELECT MIN(r) AS lo, MAX(r) AS hi FROM runs WHERE v >= 990",
+      "SELECT r, v FROM runs WHERE v = 7 ORDER BY r, v",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& q : queries) {
+    auto r = engine.ExecuteSql(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    expected.push_back(r.value().ToCsv());
+  }
+
+  const int iters = 4 * StressIters();
+  const Status st = testutil::RunConcurrently(
+      StressThreads(), [&](int t) -> Status {
+        for (int iter = 0; iter < iters; ++iter) {
+          const size_t q = static_cast<size_t>(t + iter) % queries.size();
+          auto r = engine.ExecuteSql(queries[q]);
+          if (!r.ok()) {
+            return Status::Internal(queries[q] + ": " +
+                                    r.status().ToString());
+          }
+          if (r.value().ToCsv() != expected[q]) {
+            return Status::Internal(queries[q] +
+                                    ": answer drifted under concurrency");
           }
         }
         return Status::OK();

@@ -1,6 +1,7 @@
 // Failure injection: corrupt or truncated serialized streams and database
 // files must fail with clean IOError statuses, never fault.
 
+#include <algorithm>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -106,6 +107,28 @@ TEST(CorruptStream, DictEntryCountPastCapacityRejected) {
   auto buf = GoodStream(EncodingType::kDictionary);
   HeaderView(&buf).SetU64(24, uint64_t{1} << 20);
   EXPECT_EQ(EncodedStream::Open(buf).status().code(), StatusCode::kIOError);
+}
+
+TEST(CorruptStream, DictCodesPastEntryCountStayInsideTheEntrySpace) {
+  // A code is < 2^bits and validation bounds the 2^bits-entry space, so
+  // packed codes past the entry count read the unused (zeroed) part of
+  // that space: the gather needs no per-row bound and never leaves the
+  // buffer.
+  auto buf = GoodStream(EncodingType::kDictionary);
+  const ConstHeaderView h(buf);
+  const uint64_t top_code = (uint64_t{1} << h.bits()) - 1;
+  ASSERT_GT(top_code, h.GetU64(24));
+  std::fill(buf.begin() + static_cast<ptrdiff_t>(h.data_offset()), buf.end(),
+            uint8_t{0xFF});
+  auto s = EncodedStream::Open(buf);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  std::vector<Lane> out(s.value()->size());
+  ASSERT_TRUE(s.value()->Get(0, out.size(), out.data()).ok());
+  for (Lane v : out) ASSERT_EQ(v, 0);
+  ASSERT_TRUE(s.value()->Get(1000, 77, out.data()).ok());
+  std::vector<Lane> codes(out.size());
+  ASSERT_TRUE(s.value()->GetCodes(0, codes.size(), codes.data()));
+  for (Lane c : codes) ASSERT_EQ(static_cast<uint64_t>(c), top_code);
 }
 
 TEST(CorruptStream, RleZeroFieldWidthRejected) {

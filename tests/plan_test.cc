@@ -122,6 +122,30 @@ TEST(Executor, InvisibleJoinPlanMatchesControl) {
   }
 }
 
+TEST(Executor, ExplainAndExecuteLeaveTheCallersPlanUnchanged) {
+  // The strategic optimizer rewrites nodes in place; the public entry
+  // points must optimize a copy, so a plan can be re-run under any mode.
+  auto t = ColorTable();
+  auto plan = Plan::Scan(t)
+                  .Filter(Eq(Col("color"), Str("red")))
+                  .Aggregate({}, {{AggKind::kSum, "qty", "s"}});
+  const std::string before = PlanToString(plan.root());
+  ASSERT_EQ(plan.root()->children[0]->kind, PlanNodeKind::kFilter);
+
+  auto explain = ExplainPlan(plan);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain.value().find("InvisibleJoin(color)"), std::string::npos)
+      << explain.value();
+  EXPECT_EQ(PlanToString(plan.root()), before);
+  EXPECT_EQ(plan.root()->children[0]->kind, PlanNodeKind::kFilter);
+
+  auto run = ExecutePlan(plan);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value().Value(0, 0), 10 + 30 + 60);
+  EXPECT_EQ(PlanToString(plan.root()), before);
+  EXPECT_EQ(plan.root()->children[0]->kind, PlanNodeKind::kFilter);
+}
+
 TEST(Executor, RankJoinPlanMatchesControl) {
   auto t = MakeRleTable(300000).MoveValue();
   auto make_plan = [&]() {
